@@ -373,20 +373,15 @@ class DraconisProgram(P4Program):
             )
         ]
 
-    def _fenced(self, term: Optional[int]) -> bool:
+    def _fenced(self, term: int) -> bool:
         """Reject a control-plane action stamped with a stale term.
 
         ``term`` is the issuing controller's fencing token; when the
         switch's election register has moved past it the issuer was
         deposed and its action must not land (the new leader re-issues it
-        from replicated state). ``None`` is the unreplicated legacy path:
-        no fence, no election bookkeeping.
+        from replicated state).
         """
-        if term is None:
-            return False
-        election = getattr(self.switch, "election", None)
-        if election is None:
-            return False
+        election = self.switch.election
         if election.term > term:
             self.sched_stats.fencing_rejections += 1
             obs = self._obs()
@@ -396,13 +391,13 @@ class DraconisProgram(P4Program):
         election.note_action(term)
         return False
 
-    def expire_parked_for(self, executor_ids, term: Optional[int] = None) -> int:
+    def expire_parked_for(self, executor_ids, term: int) -> int:
         """Drop parked pulls belonging to ``executor_ids`` (lease expiry).
 
         Called by the :class:`~repro.ctrl.controller.Controller` when an
         executor's lease lapses, so the next submission cannot wake a
         pull whose executor is dead. Returns how many were dropped.
-        ``term`` fences the action against a deposed replicated leader.
+        ``term`` fences the action against a deposed leader.
         """
         if self._fenced(term):
             return 0
@@ -419,13 +414,13 @@ class DraconisProgram(P4Program):
         self.sched_stats.pulls_expired += expired
         return expired
 
-    def reinject(self, entry: QueueEntry, term: Optional[int] = None) -> bool:
+    def reinject(self, entry: QueueEntry, term: int) -> bool:
         """Put a reclaimed in-flight task back at the tail (lease expiry).
 
         Control-plane insert — no packet traversal, no register budget.
         Refused (returns False) while the target queue is full or holds a
         pending repair; the controller retries on its next sweep.
-        ``term`` fences the insert against a deposed replicated leader —
+        ``term`` fences the insert against a deposed leader —
         a stale leader's reinject would double-queue a task the new
         leader already reclaimed.
         """
@@ -452,12 +447,7 @@ class DraconisProgram(P4Program):
         same term sequence — leadership cannot fork across an
         install_program.
         """
-        election = getattr(self.switch, "election", None)
-        if election is None:
-            # No replication deployed on this switch; treat the packet
-            # like any other non-scheduler traffic.
-            return [Forward(packet)]
-        ack = election.request(
+        ack = self.switch.election.request(
             req.candidate_id, req.term, self._now(), req.lease_ns
         )
         return [self._reply(packet.src, ack)]

@@ -16,7 +16,8 @@ register budget is spent):
 * :class:`ReplicaController` / :class:`ControllerGroup` — replicated
   control plane: switch-arbitrated leader election with term fencing,
   leader->follower state sync, and lossless follower takeover when the
-  leader itself dies (``repro.ctrl.replication``).
+  leader itself dies (``repro.ctrl.replication``). The protocol itself
+  is the I/O-free :class:`ReplicaCore`, shared with the live runtime.
 """
 
 from repro.ctrl.checkpoint import (
@@ -38,16 +39,17 @@ from repro.ctrl.controller import (
 )
 from repro.ctrl.degradation import DegradationPolicy
 from repro.ctrl.replication import (
-    DEFAULT_CTRL_LEASE_NS,
+    SIM_TIMING,
     ControllerGroup,
     CtrlJournal,
     CtrlOpKind,
     ReplicaController,
+    ReplicaCore,
+    ReplicaTiming,
 )
 
 __all__ = [
     "CTRL_PORT",
-    "DEFAULT_CTRL_LEASE_NS",
     "DEFAULT_CHECKPOINT_INTERVAL_NS",
     "DEFAULT_JOURNAL_CAPACITY",
     "DEFAULT_LEASE_NS",
@@ -63,6 +65,9 @@ __all__ = [
     "DeltaJournal",
     "Lease",
     "ReplicaController",
+    "ReplicaCore",
+    "ReplicaTiming",
     "RecoveryReport",
+    "SIM_TIMING",
     "SwitchSnapshot",
 ]

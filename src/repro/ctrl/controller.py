@@ -28,7 +28,7 @@ the metrics collector suppresses and counts duplicate completions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
@@ -66,7 +66,17 @@ class ControllerStats:
 
 
 class Controller:
-    """Heartbeat lease tracker + proactive reclaim for dead executors."""
+    """Heartbeat lease tracker + proactive reclaim for dead executors.
+
+    Unreplicated, it is a controller group of one: it holds term 1,
+    which the switch's election register grants locally when the
+    controller binds a program, and stamps it into every switch
+    mutation like any replicated leader.
+    """
+
+    #: fencing token stamped into ``expire_parked_for`` / ``reinject``
+    term = 1
+    replica_id = 0
 
     def __init__(
         self,
@@ -176,6 +186,18 @@ class Controller:
     def bind_program(self, program: Any) -> None:
         self.program = program
         program.ctrl = self
+        election = getattr(program.switch, "election", None)
+        if election is not None:
+            election.grant_local(self.replica_id, self.sim.now)
+
+    def is_leader(self) -> bool:
+        """A group of one leads for as long as it is up."""
+        return not self.crashed
+
+    @property
+    def replicas(self) -> List["Controller"]:
+        """The group-of-one view the fault injector and oracle index."""
+        return [self]
 
     def _on_install(self, new_program: Any, old_program: Any) -> None:
         self.bind_program(new_program)
@@ -270,23 +292,10 @@ class Controller:
             self._reclaim(set(expired))
         self._drain_backlog()
 
-    def _term(self) -> Optional[int]:
-        """Fencing token stamped into control-plane actions.
-
-        The unreplicated controller is unfenced (``None`` keeps the
-        legacy switch path); :class:`~repro.ctrl.replication.\
-ReplicaController` overrides this with its election term.
-        """
-        return None
-
     def _expire_parked(self, executor_ids: Set[int]) -> int:
-        program = self.program
-        if program is None:
+        if self.program is None:
             return 0
-        term = self._term()
-        if term is None:
-            return program.expire_parked_for(executor_ids)
-        return program.expire_parked_for(executor_ids, term=term)
+        return self.program.expire_parked_for(executor_ids, term=self.term)
 
     def _reclaim(self, executor_ids: Set[int]) -> None:
         """Pull a dead executor's parked pull and in-flight tasks back."""
@@ -306,14 +315,8 @@ ReplicaController` overrides this with its election term.
 
     def _reinject(self, entry: Any) -> None:
         program = self.program
-        term = self._term()
         if program is not None:
-            accepted = (
-                program.reinject(entry)
-                if term is None
-                else program.reinject(entry, term=term)
-            )
-            if accepted:
+            if program.reinject(entry, term=self.term):
                 self.stats.tasks_reclaimed += 1
                 if self.obs is not None:
                     self.obs.incr("ctrl.tasks_reclaimed")

@@ -22,8 +22,8 @@ its term into every switch mutation (``expire_parked_for`` /
 ``reinject``). The switch rejects stamps older than the register term,
 so a deposed leader — crashed-and-restarted, or partitioned past its
 lease — cannot clobber the new leader's reclaim decisions. A leader
-also *self-demotes* when its lease expires locally (:meth:`is_leader`):
-it stops acting before it even learns who replaced it.
+also *self-demotes* when its lease expires locally: it stops acting
+before it even learns who replaced it.
 
 **State sync.** The leader journals assignment-mirror deltas (the
 :class:`~repro.ctrl.checkpoint.DeltaJournal` shape: bounded buffer,
@@ -35,13 +35,25 @@ broadcasts, so only the mirror and checkpoint metadata travel on sync.
 A follower that wins takeover therefore reclaims the dead leader's
 orphans immediately: zero queued or in-flight task loss, bounded by one
 election timeout (:meth:`ControllerGroup.election_timeout_bound`).
+
+Every election and sync decision lives once, in the I/O-free
+:class:`ReplicaCore`. :class:`ReplicaController` drives it on simulator
+timers and sockets; :class:`repro.live.ctrlplane.LiveControllerReplica`
+drives the same object on asyncio and real UDP.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.ctrl.controller import (
+    DEFAULT_LEASE_NS,
+    DEFAULT_SWEEP_NS,
+    Controller,
+    TaskKey,
+)
 from repro.errors import ConfigurationError
 from repro.protocol import codec
 from repro.protocol.codec import MAX_CTRL_OPS_PER_PACKET
@@ -51,59 +63,77 @@ from repro.protocol.messages import (
     ElectionAck,
     ElectionRequest,
 )
-from repro.ctrl.controller import (
-    DEFAULT_LEASE_NS,
-    DEFAULT_SWEEP_NS,
-    Controller,
-    TaskKey,
-)
 from repro.sim.core import Interrupted, Simulator, us
 from repro.switchsim.election import ElectionRegister
 
 __all__ = [
-    "DEFAULT_CTRL_LEASE_NS",
-    "DEFAULT_POLL_NS",
-    "DEFAULT_RENEW_MARGIN_NS",
-    "DEFAULT_SNAPSHOT_EVERY",
-    "DEFAULT_STAGGER_NS",
-    "DEFAULT_SYNC_INTERVAL_NS",
+    "SIM_TIMING",
+    "STEPPED_DOWN",
+    "WON",
     "ControllerGroup",
     "CtrlJournal",
     "CtrlOpKind",
     "ElectionRegister",
     "ReplicaController",
+    "ReplicaCore",
+    "ReplicaTiming",
 ]
 
-#: leadership lease granted by the switch per renewal
-DEFAULT_CTRL_LEASE_NS = us(600)
-#: the leader renews this long before its lease expires
-DEFAULT_RENEW_MARGIN_NS = us(200)
-#: follower candidacy poll period (bounds takeover detection)
-DEFAULT_POLL_NS = us(100)
-#: per-replica start offset breaking the t=0 candidacy tie
-DEFAULT_STAGGER_NS = us(5)
-#: leader->follower sync flush period
-DEFAULT_SYNC_INTERVAL_NS = us(200)
-#: every Nth flush is a full snapshot regardless of journal state
-DEFAULT_SNAPSHOT_EVERY = 8
-#: journal ops buffered between flushes before overflow forces a snapshot
-DEFAULT_JOURNAL_OPS = 256
+
+@dataclass(frozen=True)
+class ReplicaTiming:
+    """Election and sync cadence of one controller replica."""
+
+    #: leadership lease granted by the switch per renewal (ns)
+    lease_ns: int
+    #: the leader renews this long before its lease expires (ns)
+    renew_margin_ns: int
+    #: follower candidacy poll period, bounding takeover detection (ns)
+    poll_ns: int
+    #: per-replica start offset breaking the t=0 candidacy tie (ns)
+    stagger_ns: int
+    #: leader->follower sync flush period (ns)
+    sync_interval_ns: int
+    #: every Nth flush is a full snapshot regardless of journal state
+    snapshot_every: int = 8
+    #: journal ops buffered between flushes before overflow forces a snapshot
+    journal_ops: int = 256
+
+
+#: simulated replicas: a µs-scale lease, far below any client timeout
+SIM_TIMING = ReplicaTiming(
+    lease_ns=us(600),
+    renew_margin_ns=us(200),
+    poll_ns=us(100),
+    stagger_ns=us(5),
+    sync_interval_ns=us(200),
+)
+
+#: what :meth:`ReplicaCore.on_ack` / :meth:`ReplicaCore.on_sync` report
+#: for the driver's hooks (None: nothing to act on)
+WON = "won"
+STEPPED_DOWN = "stepped_down"
 
 
 class CtrlOpKind(IntEnum):
     """Wire op kinds for :class:`~repro.protocol.messages.CtrlOp`.
 
-    LEASE/LEASE_EXPIRE exist for wire genericity (a live deployment may
-    sync leases instead of broadcasting heartbeats); the simulator
-    replicates only the assignment mirror and checkpoint metadata.
+    Only the kinds a follower applies: assignment-mirror inserts and
+    removals, and ``CKPT_META`` (``d`` = checkpoints the leader's switch
+    checkpoint manager has taken; 0 where none runs). Values 1 and 2
+    are retired and must not be reused.
     """
 
-    LEASE = 1
-    LEASE_EXPIRE = 2
     ASSIGN = 3
     COMPLETE = 4
     PULL_RECLAIMED = 5
     CKPT_META = 6
+
+
+def _key_op(kind: CtrlOpKind, key: TaskKey, executor_id: int = 0) -> CtrlOp:
+    return CtrlOp(
+        kind=int(kind), executor_id=executor_id, a=key[0], b=key[1], c=key[2]
+    )
 
 
 class CtrlJournal:
@@ -113,9 +143,7 @@ class CtrlJournal:
     the next flush ships a full snapshot instead of deltas.
     """
 
-    def __init__(self, capacity: int = DEFAULT_JOURNAL_OPS) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(f"journal capacity must be > 0: {capacity}")
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.ops: List[CtrlOp] = []
         #: sim-only piggyback: task key -> queue entry for ASSIGN ops
@@ -146,15 +174,228 @@ class CtrlJournal:
         self.overflowed = False
 
 
-class ReplicaController(Controller):
-    """One replica of the replicated controller.
+class ReplicaCore:
+    """One controller replica's election and sync decisions, with no I/O.
 
-    Extends the lease controller with an election loop (switch-arbitrated
-    leadership), term fencing on every switch mutation, and a sync loop
-    replicating the assignment mirror to peers. Exactly one replica acts
-    on the switch at a time; followers keep warm lease tables from the
-    executors' heartbeat broadcasts and a warm assignment mirror from
-    the leader's sync stream.
+    A driver owns the timers and the socket. It sends what
+    :meth:`election_request` and :meth:`flush` build, sleeps for
+    :meth:`next_wait`, and feeds every ack and sync back in with the
+    time it arrived. :meth:`on_ack` and :meth:`on_sync` return
+    :data:`WON` or :data:`STEPPED_DOWN` when the driver has host-side
+    work to do (bind the program, reconcile, drop a backlog).
+
+    ``mirror`` is the replicated state, task key -> ``(executor_id,
+    queue entry)``: snapshots are built from it and applied syncs land
+    in it. The simulated replica shares it as its assignment mirror;
+    the live replica has none, so its mirror stays empty.
+    """
+
+    def __init__(self, replica_id: int, timing: ReplicaTiming) -> None:
+        self.replica_id = replica_id
+        self.timing = timing
+        self.mirror: Dict[TaskKey, Tuple[int, Any]] = {}
+        self.journal = CtrlJournal(timing.journal_ops)
+        #: checkpoint counter carried by CKPT_META
+        self.ckpt_meta = 0
+        self.elections_won = 0
+        self.step_downs = 0
+        self.sync_applied = 0
+        self.sync_gaps = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Crash: forget the term, the lease and both sync positions."""
+        self.role = "follower"
+        self.term = 0  #: last term granted to *this* replica
+        self.known_term = 0  #: highest term seen in any ack or sync
+        self.leader_until = -1
+        self._request_sent_ns = 0
+        self.journal.clear()
+        self._seq = 0
+        self._flushes = 0
+        self._need_snapshot = True
+        self._sync_term = -1
+        self._sync_last_seq = 0
+        self._sync_gap = True  # wait for the term's first snapshot
+
+    # -- election ----------------------------------------------------------
+
+    def is_leader(self, now: int) -> bool:
+        """Leader role *and* a live local lease.
+
+        The second clause is the self-demotion half of fencing: a
+        partitioned leader stops acting the instant its lease lapses
+        locally, before it ever hears about its successor.
+        """
+        return self.role == "leader" and now <= self.leader_until
+
+    def first_wait(self) -> int:
+        """Delay before the first candidacy.
+
+        At t=0 all replicas race for term 1; the per-replica offset
+        makes replica 0 win deterministically.
+        """
+        return 1 + self.replica_id * self.timing.stagger_ns
+
+    def next_wait(self, now: int) -> int:
+        """Delay after a request: renew in time while leading, else poll."""
+        timing = self.timing
+        if self.is_leader(now):
+            return timing.lease_ns - timing.renew_margin_ns
+        return timing.poll_ns
+
+    def election_request(self, now: int) -> ElectionRequest:
+        """The next candidacy or renewal; ``now`` is when it is sent."""
+        self._request_sent_ns = now
+        return ElectionRequest(
+            candidate_id=self.replica_id,
+            term=self.term if self.role == "leader" else self.known_term,
+            lease_ns=self.timing.lease_ns,
+        )
+
+    def on_ack(self, now: int, ack: ElectionAck) -> Optional[str]:
+        if ack.term > self.known_term:
+            self.known_term = ack.term
+        if ack.granted and ack.leader_id == self.replica_id:
+            if ack.term < self.term:
+                return None  # stale ack from an earlier grant
+            newly = self.role != "leader" or ack.term != self.term
+            self.term = ack.term
+            # The register stamped its own arrival clock; request-send
+            # time + lease can only be earlier, so the local lease never
+            # outlives the granted one, whatever clock the driver runs.
+            self.leader_until = min(
+                ack.expires_at_ns, self._request_sent_ns + self.timing.lease_ns
+            )
+            if not newly:
+                return None
+            self.role = "leader"
+            self.elections_won += 1
+            self.journal.clear()
+            self._seq = 0
+            self._flushes = 0
+            # First flush of a tenure is a snapshot: followers that
+            # missed the term change resync from scratch.
+            self._need_snapshot = True
+            return WON
+        # Any other verdict at our term or newer means someone else (or
+        # a grant to us we never heard of) holds the lease.
+        if self.role == "leader" and ack.term >= self.term:
+            self._step_down()
+            return STEPPED_DOWN
+        return None
+
+    def _step_down(self) -> None:
+        self.role = "follower"
+        self.leader_until = -1
+        self.step_downs += 1
+        self.journal.clear()
+
+    # -- leader -> follower sync -------------------------------------------
+
+    def flush(self) -> List[ControllerSync]:
+        """Drain the journal into the next flush's sync messages.
+
+        The flush is a full snapshot of :attr:`mirror` on a new tenure,
+        after a journal overflow, and every ``snapshot_every``-th time;
+        otherwise it carries the journal deltas. It is chunked to the
+        codec's per-packet op limit; only the first chunk of a snapshot
+        is marked as one.
+        """
+        ops, entries, overflowed = self.journal.drain()
+        self._flushes += 1
+        snapshot = (
+            self._need_snapshot
+            or overflowed
+            or self._flushes % self.timing.snapshot_every == 0
+        )
+        if snapshot:
+            self._need_snapshot = False
+            ops = [
+                _key_op(CtrlOpKind.ASSIGN, key, eid)
+                for key, (eid, _entry) in self.mirror.items()
+            ]
+            entries = {key: entry for key, (_eid, entry) in self.mirror.items()}
+        ops.append(CtrlOp(kind=int(CtrlOpKind.CKPT_META), d=self.ckpt_meta))
+        messages = []
+        for lo in range(0, len(ops), MAX_CTRL_OPS_PER_PACKET):
+            chunk = ops[lo : lo + MAX_CTRL_OPS_PER_PACKET]
+            self._seq += 1
+            piggyback = {
+                (op.a, op.b, op.c): entries[(op.a, op.b, op.c)]
+                for op in chunk
+                if op.kind == int(CtrlOpKind.ASSIGN)
+                and (op.a, op.b, op.c) in entries
+            }
+            messages.append(
+                ControllerSync(
+                    leader_id=self.replica_id,
+                    term=self.term,
+                    seq=self._seq,
+                    snapshot=snapshot and lo == 0,
+                    ops=chunk,
+                    entries=piggyback or None,
+                )
+            )
+        return messages
+
+    def on_sync(self, msg: ControllerSync) -> Optional[str]:
+        """Apply one sync message to :attr:`mirror`, or drop it.
+
+        Dropped: our own echo, a stale term, and — after a new term or a
+        sequence gap — every delta until the next snapshot, since
+        applying a delta over a mirror it does not extend would merge
+        two states.
+        """
+        if msg.leader_id == self.replica_id or msg.term < self.known_term:
+            return None
+        self.known_term = msg.term
+        verdict = None
+        if self.role == "leader" and msg.term > self.term:
+            self._step_down()
+            verdict = STEPPED_DOWN
+        if msg.term != self._sync_term:
+            self._sync_term = msg.term
+            self._sync_last_seq = 0
+            self._sync_gap = True
+        if msg.snapshot:
+            self.mirror.clear()
+            self._sync_gap = False
+        elif self._sync_gap:
+            return verdict
+        elif msg.seq != self._sync_last_seq + 1:
+            self._sync_gap = True
+            self.sync_gaps += 1
+            return verdict
+        self._sync_last_seq = msg.seq
+        entries = msg.entries or {}
+        for op in msg.ops:
+            key = (op.a, op.b, op.c)
+            if op.kind == int(CtrlOpKind.ASSIGN):
+                entry = entries.get(key)
+                if entry is not None:
+                    self.mirror[key] = (op.executor_id, entry)
+            elif op.kind in (
+                int(CtrlOpKind.COMPLETE),
+                int(CtrlOpKind.PULL_RECLAIMED),
+            ):
+                self.mirror.pop(key, None)
+            elif op.kind == int(CtrlOpKind.CKPT_META):
+                self.ckpt_meta = op.d
+        self.sync_applied += 1
+        return verdict
+
+
+class ReplicaController(Controller):
+    """One replica of the replicated controller, driven on the simulator.
+
+    Extends the lease controller with the :class:`ReplicaCore` election
+    and sync protocol: the election and sync loops are simulator timers,
+    acks and syncs arrive on the controller socket, and the core's
+    mirror *is* the controller's assignment mirror. Exactly one replica
+    acts on the switch at a time; followers keep warm lease tables from
+    the executors' heartbeat broadcasts and a warm assignment mirror
+    from the leader's sync stream.
     """
 
     def __init__(
@@ -168,29 +409,8 @@ class ReplicaController(Controller):
         program: Any = None,
         switch: Any = None,
         obs: Any = None,
-        peers: Optional[Sequence[Any]] = None,
-        ctrl_lease_ns: int = DEFAULT_CTRL_LEASE_NS,
-        renew_margin_ns: int = DEFAULT_RENEW_MARGIN_NS,
-        poll_ns: int = DEFAULT_POLL_NS,
-        stagger_ns: int = DEFAULT_STAGGER_NS,
-        sync_interval_ns: int = DEFAULT_SYNC_INTERVAL_NS,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-        journal_ops: int = DEFAULT_JOURNAL_OPS,
         checkpoints: Any = None,
     ) -> None:
-        if ctrl_lease_ns <= 0 or poll_ns <= 0 or sync_interval_ns <= 0:
-            raise ConfigurationError(
-                "ctrl_lease_ns, poll_ns and sync_interval_ns must be positive"
-            )
-        if renew_margin_ns <= 0 or renew_margin_ns >= ctrl_lease_ns:
-            raise ConfigurationError(
-                f"renew_margin_ns must be in (0, ctrl_lease_ns): "
-                f"{renew_margin_ns} vs {ctrl_lease_ns}"
-            )
-        if snapshot_every <= 0:
-            raise ConfigurationError(
-                f"snapshot_every must be positive: {snapshot_every}"
-            )
         # program=None on the base: only the elected leader may own
         # program.ctrl, so binding waits for the first election win.
         super().__init__(
@@ -204,121 +424,71 @@ class ReplicaController(Controller):
             obs=obs,
         )
         self.replica_id = replica_id
+        self.core = ReplicaCore(replica_id, SIM_TIMING)
+        # One dict, two roles: the lease logic's assignment mirror and
+        # the replicated state the core snapshots and applies syncs to.
+        self._inflight = self.core.mirror
         self.program = program
-        self.switch = switch
         self.switch_address = switch.service_address if switch else None
-        self.peers: List[Any] = list(peers) if peers else []
+        #: peer replica addresses, wired by :class:`ControllerGroup`
+        self.peers: List[Any] = []
         self.checkpoints = checkpoints
-        self.ctrl_lease_ns = ctrl_lease_ns
-        self.renew_margin_ns = renew_margin_ns
-        self.poll_ns = poll_ns
-        self.stagger_ns = stagger_ns
-        self.sync_interval_ns = sync_interval_ns
-        self.snapshot_every = snapshot_every
+        self.sync_sent = 0
         if switch is not None:
             switch.add_install_hook(self._on_install)
-        # -- election state --
-        self._role = "follower"
-        self.term = 0  #: last term granted to *this* replica
-        self.known_term = 0  #: highest term seen in any ack/sync
-        self._leader_until = -1
-        self.elections_won = 0
-        self.step_downs = 0
-        # -- sync state (leader side) --
-        self._journal = CtrlJournal(journal_ops)
-        self._sync_seq = 0
-        self._flushes = 0
-        self._need_snapshot = True
-        self.ckpt_meta = 0
-        self.sync_sent = 0
-        # -- sync state (follower side) --
-        self._sync_term = -1
-        self._sync_last_seq = 0
-        self._sync_gap = True  # wait for this term's first snapshot
-        self.sync_applied = 0
-        self.sync_gaps = 0
-        self._election_process = sim.spawn(
-            self._election_loop(), name=f"{name}-election"
+        self._spawn_loops()
+
+    def _spawn_loops(self) -> None:
+        self._election_process = self.sim.spawn(
+            self._election_loop(), name=f"{self.name}-election"
         )
-        self._sync_process = sim.spawn(
-            self._sync_loop(), name=f"{name}-sync"
+        self._sync_process = self.sim.spawn(
+            self._sync_loop(), name=f"{self.name}-sync"
         )
 
     # -- leadership ----------------------------------------------------------
 
+    @property
+    def term(self) -> int:  # type: ignore[override]
+        """Fencing token stamped into switch mutations: the core's term."""
+        return self.core.term
+
     def is_leader(self) -> bool:
-        """Leader role *and* a live local lease.
-
-        The second clause is the self-demotion half of fencing: a
-        partitioned leader stops acting the instant its lease lapses
-        locally, before it ever hears about its successor.
-        """
-        return (
-            not self.crashed
-            and self._role == "leader"
-            and self.sim.now <= self._leader_until
-        )
-
-    def _term(self) -> Optional[int]:
-        return self.term
+        """Up, and leading on a live local lease (self-demotion)."""
+        return not self.crashed and self.core.is_leader(self.sim.now)
 
     def _on_install(self, new_program: Any, old_program: Any) -> None:
         self.program = new_program
         if self.is_leader():
             new_program.ctrl = self
 
-    # -- election loop -------------------------------------------------------
-
     def _election_loop(self):
+        core = self.core
         try:
-            # Stagger the first candidacy: at t=0 all replicas race for
-            # term 1, and the offset makes replica 0 deterministically win.
-            yield self.sim.timeout(1 + self.replica_id * self.stagger_ns)
+            yield self.sim.timeout(core.first_wait())
             while True:
-                self._send_election_request()
-                if self.is_leader():
-                    wait = self.ctrl_lease_ns - self.renew_margin_ns
-                else:
-                    wait = self.poll_ns
-                yield self.sim.timeout(wait)
+                if self.switch_address is not None:
+                    req = core.election_request(self.sim.now)
+                    self.socket.send(
+                        self.switch_address, req, codec.wire_size(req)
+                    )
+                yield self.sim.timeout(core.next_wait(self.sim.now))
         except Interrupted:
             return
 
-    def _send_election_request(self) -> None:
-        if self.switch_address is None:
-            return
-        req = ElectionRequest(
-            candidate_id=self.replica_id,
-            term=self.term if self._role == "leader" else self.known_term,
-            lease_ns=self.ctrl_lease_ns,
-        )
-        self.socket.send(self.switch_address, req, codec.wire_size(req))
-
-    def _on_election_ack(self, ack: ElectionAck) -> None:
-        if self.crashed:
-            return
-        if ack.term > self.known_term:
-            self.known_term = ack.term
-        if (
-            ack.granted
-            and ack.leader_id == self.replica_id
-            and ack.term >= self.term
-        ):
-            newly = self._role != "leader" or ack.term != self.term
-            self.term = ack.term
-            self._leader_until = ack.expires_at_ns
-            if newly:
-                self._become_leader()
-        elif (
-            self._role == "leader"
-            and ack.leader_id != self.replica_id
-            and ack.term >= self.term
-        ):
-            self._step_down()
+    def _on_verdict(self, verdict: Optional[str]) -> None:
+        if verdict == WON:
+            self._become_leader()
+        elif verdict == STEPPED_DOWN:
+            # The new leader re-derives reclaim work from replicated
+            # state; retrying here would be fenced anyway, and a backlog
+            # that can never drain would trip the oracle's lease-safety
+            # check.
+            self._reclaim_backlog.clear()
+            if self.obs is not None:
+                self.obs.incr("ctrl.step_downs")
 
     def _become_leader(self) -> None:
-        self._role = "leader"
-        self.elections_won += 1
         if self.obs is not None:
             self.obs.incr("ctrl.elections_won")
             self.obs.gauge("ctrl.term", self.term)
@@ -330,23 +500,7 @@ class ReplicaController(Controller):
             )
         if self.program is not None:
             self.program.ctrl = self
-        self._journal.clear()
-        self._sync_seq = 0
-        self._flushes = 0
-        self._need_snapshot = True
         self._takeover_reconcile()
-
-    def _step_down(self) -> None:
-        self._role = "follower"
-        self._leader_until = -1
-        self.step_downs += 1
-        # The new leader re-derives reclaim work from replicated state;
-        # retrying here would be fenced anyway, and a backlog that can
-        # never drain would trip the oracle's lease-safety check.
-        self._reclaim_backlog.clear()
-        self._journal.clear()
-        if self.obs is not None:
-            self.obs.incr("ctrl.step_downs")
 
     def _takeover_reconcile(self) -> None:
         """Reclaim everything the previous leader left orphaned.
@@ -375,16 +529,8 @@ class ReplicaController(Controller):
             return
         super().note_assign(key, entry, executor_id)
         if self.is_leader():
-            self._journal.record(
-                CtrlOp(
-                    kind=int(CtrlOpKind.ASSIGN),
-                    executor_id=executor_id,
-                    a=key[0],
-                    b=key[1],
-                    c=key[2],
-                ),
-                key=key,
-                entry=entry,
+            self.core.journal.record(
+                _key_op(CtrlOpKind.ASSIGN, key, executor_id), key, entry
             )
 
     def note_complete(self, key: TaskKey) -> None:
@@ -392,11 +538,7 @@ class ReplicaController(Controller):
             return
         super().note_complete(key)
         if self.is_leader():
-            self._journal.record(
-                CtrlOp(
-                    kind=int(CtrlOpKind.COMPLETE), a=key[0], b=key[1], c=key[2]
-                )
-            )
+            self.core.journal.record(_key_op(CtrlOpKind.COMPLETE, key))
 
     def _reclaim(self, executor_ids: Set[int]) -> None:
         orphaned = [
@@ -410,13 +552,8 @@ class ReplicaController(Controller):
             # over does not re-inject tasks this incarnation already
             # reclaimed (double execution is counted, but why invite it).
             for key in orphaned:
-                self._journal.record(
-                    CtrlOp(
-                        kind=int(CtrlOpKind.PULL_RECLAIMED),
-                        a=key[0],
-                        b=key[1],
-                        c=key[2],
-                    )
+                self.core.journal.record(
+                    _key_op(CtrlOpKind.PULL_RECLAIMED, key)
                 )
 
     def _sweep(self) -> None:
@@ -437,9 +574,8 @@ class ReplicaController(Controller):
             self.stats.leases_expired += 1
 
     def _post_restart_reconcile(self) -> None:
-        # The base class acts on the switch unfenced here; a restarted
-        # replica is a follower until it wins an election, and the win
-        # path runs its own (fenced) takeover reconcile.
+        # A restarted replica is a follower until it wins an election,
+        # and the win path runs its own takeover reconcile.
         if self.is_leader():
             super()._post_restart_reconcile()
 
@@ -448,121 +584,27 @@ class ReplicaController(Controller):
     def _on_packet(self, packet) -> None:
         payload = packet.payload
         if isinstance(payload, ElectionAck):
-            self._on_election_ack(payload)
+            self._on_verdict(self.core.on_ack(self.sim.now, payload))
         elif isinstance(payload, ControllerSync):
-            self._on_sync(payload)
+            self._on_verdict(self.core.on_sync(payload))
         else:
             super()._on_packet(packet)
-
-    # -- leader -> follower sync --------------------------------------------
 
     def _sync_loop(self):
         try:
             while True:
-                yield self.sim.timeout(self.sync_interval_ns)
+                yield self.sim.timeout(SIM_TIMING.sync_interval_ns)
                 if self.is_leader() and self.peers:
-                    self._flush_sync()
+                    if self.checkpoints is not None:
+                        self.core.ckpt_meta = int(
+                            self.checkpoints.stats.checkpoints_taken
+                        )
+                    for msg in self.core.flush():
+                        for peer in self.peers:
+                            self.socket.send(peer, msg, codec.wire_size(msg))
+                            self.sync_sent += 1
         except Interrupted:
             return
-
-    def _flush_sync(self) -> None:
-        ops, entries, overflowed = self._journal.drain()
-        self._flushes += 1
-        snapshot = (
-            self._need_snapshot
-            or overflowed
-            or self._flushes % self.snapshot_every == 0
-        )
-        if self.checkpoints is not None:
-            self.ckpt_meta = int(self.checkpoints.stats.checkpoints_taken)
-        if snapshot:
-            self._need_snapshot = False
-            ops = [
-                CtrlOp(
-                    kind=int(CtrlOpKind.ASSIGN),
-                    executor_id=eid,
-                    a=key[0],
-                    b=key[1],
-                    c=key[2],
-                )
-                for key, (eid, _entry) in self._inflight.items()
-            ]
-            entries = {
-                key: entry for key, (_eid, entry) in self._inflight.items()
-            }
-        ops.append(CtrlOp(kind=int(CtrlOpKind.CKPT_META), d=self.ckpt_meta))
-        self._send_sync(ops, entries, snapshot)
-
-    def _send_sync(
-        self, ops: List[CtrlOp], entries: Dict[TaskKey, Any], snapshot: bool
-    ) -> None:
-        chunks = [
-            ops[i : i + MAX_CTRL_OPS_PER_PACKET]
-            for i in range(0, len(ops), MAX_CTRL_OPS_PER_PACKET)
-        ] or [[]]
-        first = True
-        for chunk in chunks:
-            self._sync_seq += 1
-            piggyback = {
-                (op.a, op.b, op.c): entries[(op.a, op.b, op.c)]
-                for op in chunk
-                if op.kind == int(CtrlOpKind.ASSIGN)
-                and (op.a, op.b, op.c) in entries
-            }
-            msg = ControllerSync(
-                leader_id=self.replica_id,
-                term=self.term,
-                seq=self._sync_seq,
-                snapshot=snapshot and first,
-                ops=list(chunk),
-                entries=piggyback or None,
-            )
-            first = False
-            for peer in self.peers:
-                self.socket.send(peer, msg, codec.wire_size(msg))
-                self.sync_sent += 1
-
-    def _on_sync(self, msg: ControllerSync) -> None:
-        if self.crashed or msg.leader_id == self.replica_id:
-            return
-        if msg.term < self.known_term:
-            return  # stale stream from a deposed leader
-        if msg.term > self.known_term:
-            self.known_term = msg.term
-        if self._role == "leader" and msg.term > self.term:
-            self._step_down()
-        if msg.term != self._sync_term:
-            # New leader: wait for its first snapshot before applying
-            # deltas — applying a delta over the old mirror would merge
-            # two incarnations' state.
-            self._sync_term = msg.term
-            self._sync_last_seq = 0
-            self._sync_gap = True
-        if msg.snapshot:
-            self._inflight.clear()
-            self._sync_gap = False
-        elif self._sync_gap:
-            return
-        elif msg.seq != self._sync_last_seq + 1:
-            self._sync_gap = True
-            self.sync_gaps += 1
-            return
-        self._sync_last_seq = msg.seq
-        entries = msg.entries or {}
-        for op in msg.ops:
-            key = (op.a, op.b, op.c)
-            if op.kind == int(CtrlOpKind.ASSIGN):
-                entry = entries.get(key)
-                if entry is not None:
-                    self._inflight[key] = (op.executor_id, entry)
-            elif op.kind in (
-                int(CtrlOpKind.COMPLETE),
-                int(CtrlOpKind.PULL_RECLAIMED),
-            ):
-                self._inflight.pop(key, None)
-            elif op.kind == int(CtrlOpKind.CKPT_META):
-                self.ckpt_meta = op.d
-        self.sync_applied += 1
 
     # -- fail-stop -----------------------------------------------------------
 
@@ -574,47 +616,33 @@ class ReplicaController(Controller):
             self._election_process.interrupt("controller crash")
         if not self._sync_process.triggered:
             self._sync_process.interrupt("controller crash")
-        self._role = "follower"
-        self.term = 0
-        self.known_term = 0
-        self._leader_until = -1
-        self._journal.clear()
-        self._sync_seq = 0
-        self._flushes = 0
-        self._need_snapshot = True
-        self._sync_term = -1
-        self._sync_last_seq = 0
-        self._sync_gap = True
+        self.core.reset()
 
     def restart(self) -> None:
         if not self.crashed:
             return
         super().restart()
-        self._election_process = self.sim.spawn(
-            self._election_loop(), name=f"{self.name}-election"
-        )
-        self._sync_process = self.sim.spawn(
-            self._sync_loop(), name=f"{self.name}-sync"
-        )
+        self._spawn_loops()
 
     # -- inspection ----------------------------------------------------------
 
     def audit(self) -> Dict[str, Any]:
+        core = self.core
         report = super().audit()
         report.update(
             {
                 "replica_id": self.replica_id,
-                "role": self._role,
+                "role": core.role,
                 "is_leader": self.is_leader(),
-                "term": self.term,
-                "known_term": self.known_term,
-                "elections_won": self.elections_won,
-                "step_downs": self.step_downs,
+                "term": core.term,
+                "known_term": core.known_term,
+                "elections_won": core.elections_won,
+                "step_downs": core.step_downs,
                 "sync_sent": self.sync_sent,
-                "sync_applied": self.sync_applied,
-                "sync_gaps": self.sync_gaps,
-                "journal_overflows": self._journal.overflows,
-                "ckpt_meta": self.ckpt_meta,
+                "sync_applied": core.sync_applied,
+                "sync_gaps": core.sync_gaps,
+                "journal_overflows": core.journal.overflows,
+                "ckpt_meta": core.ckpt_meta,
             }
         )
         return report
@@ -624,9 +652,9 @@ class ControllerGroup:
     """N controller replicas plus the glue the harness needs.
 
     Builds ``ctrl0..ctrlN-1`` as topology hosts, cross-wires their peer
-    addresses, and exposes the fault-injection surface
-    (:meth:`crash`/:meth:`restart` by replica id) and the oracle surface
-    (:meth:`leader`, :meth:`audit`, :meth:`stats`).
+    addresses, and exposes the surface the fault injector and the oracle
+    share with a plain :class:`Controller` (``replicas``) plus
+    :meth:`leader` and :meth:`stats`.
     """
 
     def __init__(
@@ -640,12 +668,6 @@ class ControllerGroup:
         sweep_ns: int = DEFAULT_SWEEP_NS,
         obs: Any = None,
         checkpoints: Any = None,
-        ctrl_lease_ns: int = DEFAULT_CTRL_LEASE_NS,
-        renew_margin_ns: int = DEFAULT_RENEW_MARGIN_NS,
-        poll_ns: int = DEFAULT_POLL_NS,
-        stagger_ns: int = DEFAULT_STAGGER_NS,
-        sync_interval_ns: int = DEFAULT_SYNC_INTERVAL_NS,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     ) -> None:
         if replicas < 1:
             raise ConfigurationError(f"need at least one replica: {replicas}")
@@ -662,12 +684,6 @@ class ControllerGroup:
                 program=program,
                 switch=switch,
                 obs=obs,
-                ctrl_lease_ns=ctrl_lease_ns,
-                renew_margin_ns=renew_margin_ns,
-                poll_ns=poll_ns,
-                stagger_ns=stagger_ns,
-                sync_interval_ns=sync_interval_ns,
-                snapshot_every=snapshot_every,
                 checkpoints=checkpoints,
             )
             for i in range(replicas)
@@ -676,14 +692,8 @@ class ControllerGroup:
         for r in self.replicas:
             r.peers = [a for a in addrs if a != r.address]
 
-    def __len__(self) -> int:
-        return len(self.replicas)
-
     def addresses(self) -> List[Any]:
         return [r.address for r in self.replicas]
-
-    def names(self) -> List[str]:
-        return [r.name for r in self.replicas]
 
     def leader(self) -> Optional[ReplicaController]:
         """The replica holding a live switch lease right now, if any."""
@@ -696,12 +706,6 @@ class ControllerGroup:
         replica = self.replicas[rid]
         return None if replica.crashed else replica
 
-    def crash(self, replica_id: int) -> None:
-        self.replicas[replica_id % len(self.replicas)].crash()
-
-    def restart(self, replica_id: int) -> None:
-        self.replicas[replica_id % len(self.replicas)].restart()
-
     def election_timeout_bound(self) -> int:
         """Worst-case ns from leader death to successor takeover.
 
@@ -711,22 +715,7 @@ class ControllerGroup:
         processing. The controller_ha experiment asserts reclamation
         resumes within this bound.
         """
-        some = self.replicas[0]
-        return some.ctrl_lease_ns + 2 * some.poll_ns
-
-    def audit(self) -> Dict[str, Any]:
-        """Leader's audit if one is live, else a group-level summary."""
-        leader = self.leader()
-        if leader is not None:
-            return leader.audit()
-        return {
-            "leases": {},
-            "stale_leases": [],
-            "inflight": 0,
-            "reclaim_backlog": 0,
-            "is_leader": False,
-            "role": "none",
-        }
+        return SIM_TIMING.lease_ns + 2 * SIM_TIMING.poll_ns
 
     def stats(self) -> Dict[str, Any]:
         """Group health rollup for experiment summary rows."""
@@ -752,5 +741,5 @@ class ControllerGroup:
             "reclaim_backlog": sum(
                 len(r._reclaim_backlog) for r in self.replicas
             ),
-            "step_downs": sum(r.step_downs for r in self.replicas),
+            "step_downs": sum(r.core.step_downs for r in self.replicas),
         }

@@ -53,19 +53,6 @@ DEFAULT_CRASH_FRACTIONS = (0.25, 0.5, 0.75)
 WORKER_CRASH_DELAY_NS = ms(2)
 
 
-class _SoloController:
-    """Crash adapter so the injector drives a single controller too."""
-
-    def __init__(self, controller) -> None:
-        self.controller = controller
-
-    def crash(self, replica_id: int) -> None:
-        self.controller.crash()
-
-    def restart(self, replica_id: int) -> None:
-        self.controller.restart()
-
-
 @dataclass
 class HaResult:
     """One (seed, replicas, crash instant) cell."""
@@ -157,12 +144,7 @@ def run_ha(
     handles = common.build_cluster(config, [events], rngs=rngs)
 
     group = handles.ctrl_group
-    if group is not None:
-        controllers = group
-        bound_ns = group.election_timeout_bound()
-    else:
-        controllers = _SoloController(handles.controller)
-        bound_ns = 0
+    bound_ns = group.election_timeout_bound() if group is not None else 0
     plan = FaultPlan(
         [
             ControllerCrash(
@@ -182,7 +164,7 @@ def run_ha(
         workers=handles.workers,
         switch=handles.switch,
         rng=rngs.stream("ha-injector"),
-        controllers=controllers,
+        controllers=group or handles.controller,
     ).arm()
 
     handles.sim.run(until=duration_ns + drain_ns)
@@ -203,9 +185,9 @@ def run_ha(
         stats = group.stats()
     else:
         audit = handles.controller.audit() if handles.controller else {}
-        stats = {
-            "term": 0,
-            "elections_held": 0,
+        stats = {  # a group of one, holding its locally granted term
+            "term": election.term,
+            "elections_held": election.elections_held,
             "fencing_rejections": 0,
             "leases_reclaimed": audit.get("leases_reclaimed", 0),
             "tasks_reclaimed": audit.get("tasks_reclaimed", 0),

@@ -18,7 +18,7 @@ Everything is scheduled up front by :meth:`FaultInjector.arm`, before
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -96,9 +96,8 @@ class FaultInjector:
             w.spec.node_id: w for w in workers
         }
         self.program_factory = program_factory
-        #: crash target for ControllerCrash events — anything with
-        #: ``crash(replica_id)`` / ``restart(replica_id)``, i.e. a
-        #: ControllerGroup or a single-controller adapter
+        #: crash target for ControllerCrash events: a ControllerGroup,
+        #: or a plain Controller (a group of one); both index ``replicas``
         self.controllers = controllers
         self.rng = rng or np.random.default_rng(0)
         self.stats = FaultInjectorStats()
@@ -222,19 +221,19 @@ class FaultInjector:
                 raise ConfigurationError(
                     "plan contains ControllerCrash but no controllers given"
                 )
-            controllers = self.controllers
-            replica_id = event.replica_id
+            replicas = self.controllers.replicas
+            replica = replicas[event.replica_id % len(replicas)]
 
             def ctrl_crash() -> None:
                 self.stats.controller_crashes += 1
-                controllers.crash(replica_id)
+                replica.crash()
 
             self.sim.call_at(max(now, event.at_ns), ctrl_crash)
             if event.restart_after_ns is not None:
 
                 def ctrl_restart() -> None:
                     self.stats.controller_restarts += 1
-                    controllers.restart(replica_id)
+                    replica.restart()
 
                 self.sim.call_at(
                     max(now, event.at_ns) + event.restart_after_ns,

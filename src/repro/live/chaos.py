@@ -883,9 +883,7 @@ async def run_live_chaos_async(
             transport_wrap=chaos.wrap(ctrl_name(replica_id)),
         )
         replica.peer_resolver = lambda: [
-            r.endpoint
-            for r in controllers.values()
-            if not r.closed and r._endpoint is not None
+            r.endpoint for r in controllers.values() if not r.closed
         ]
         return replica
 

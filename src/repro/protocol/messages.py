@@ -281,8 +281,8 @@ class CtrlOp:
 
     A generic fixed-width record so the codec stays policy-free; the
     semantics of ``kind`` and the operand words live in
-    ``repro.ctrl.replication`` (lease grant/expiry, assignment,
-    completion, pull reclaim, checkpoint metadata).
+    ``repro.ctrl.replication`` (assignment, completion, pull reclaim,
+    checkpoint metadata).
     """
 
     kind: int
@@ -298,10 +298,10 @@ class ControllerSync:
     """Leader -> follower control-plane state replication.
 
     ``seq`` is a per-term monotonic flush sequence so followers detect
-    gaps; a gap (or ``snapshot=True``) makes the payload a full snapshot
-    rather than a delta. ``entries`` is a simulator-only piggyback of
-    the actual queue-entry objects keyed by task key — never encoded on
-    the wire (live sync replicates lease/assignment records only).
+    gaps; after a gap the follower waits for the next ``snapshot=True``
+    payload, a full snapshot rather than a delta. ``entries`` is a
+    simulator-only piggyback of the actual queue-entry objects keyed by
+    task key — never encoded on the wire.
     """
 
     op: OpCode = field(default=OpCode.CONTROLLER_SYNC, init=False)

@@ -36,6 +36,8 @@ from repro.protocol.messages import ElectionAck
 #: overflow count, not every row
 MAX_ACTION_LOG = 4096
 MAX_HISTORY = 1024
+#: lease expiry of a locally granted term (:meth:`ElectionRegister.grant_local`)
+FOREVER_NS = 2**63 - 1
 
 
 class ElectionRegister:
@@ -101,6 +103,21 @@ class ElectionRegister:
             granted=True,
             expires_at_ns=self.expires_at_ns,
         )
+
+    def grant_local(self, leader_id: int, now: int) -> None:
+        """Hand term 1 to an unreplicated controller, with no packet.
+
+        A controller group of one needs no election: its binding grants
+        the first term on the spot, with a lease that never lapses. A
+        register that has already granted a term is left alone.
+        """
+        if self.term:
+            return
+        self.term = 1
+        self.leader_id = leader_id
+        self.expires_at_ns = FOREVER_NS
+        self.elections_held += 1
+        self.history.append((1, leader_id, now))
 
     # -- fencing audit -----------------------------------------------------
 

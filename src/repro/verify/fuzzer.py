@@ -154,24 +154,6 @@ def sample_scenario(
     )
 
 
-class _SoloControllerAdapter:
-    """ControllerCrash surface for an unreplicated controller.
-
-    Lets hand-crafted plans (e.g. the ``ha_artifact`` baseline-loss
-    demonstration) crash the single controller through the same injector
-    arm that crashes replica-group members.
-    """
-
-    def __init__(self, controller: Any) -> None:
-        self._controller = controller
-
-    def crash(self, replica_id: int) -> None:
-        self._controller.crash()
-
-    def restart(self, replica_id: int) -> None:
-        self._controller.restart()
-
-
 def _trace_fingerprint(handles: common.ClusterHandles) -> str:
     """sha256 over the full task trace + counters — the determinism probe.
 
@@ -271,9 +253,7 @@ def run_scenario(scenario: FuzzScenario) -> FuzzResult:
             pull_ttl_ns=config.pull_ttl_ns,
         )
 
-    controllers: Any = handles.ctrl_group
-    if controllers is None and handles.controller is not None:
-        controllers = _SoloControllerAdapter(handles.controller)
+    controllers: Any = handles.ctrl_group or handles.controller
 
     injector = FaultInjector(
         handles.sim,

@@ -29,12 +29,13 @@ checks seven families against a live chaos cluster:
   at baseline.
 * **parser robustness** — the corruption fuzz never provoked anything
   but ``ProtocolError`` out of the codec.
-* **election safety** — when the run carried a replicated live control
-  plane: the switch's election register granted strictly increasing
-  terms, no fenced action landed from a deposed leader, at most one
-  live replica claims leadership at the final check, and if any replica
-  survived the plan a leader exists (takeover completed inside the
-  settle window).
+* **election safety** — the sim oracle's own check
+  (:func:`~repro.verify.oracle.check_election`) over the soft switch's
+  election register and the live replicas: strictly increasing terms,
+  no fenced action from a deposed leader, no register term regression,
+  at most one replica claiming leadership at the final check, and a
+  leader whenever a replica survived the plan (takeover completed
+  inside the settle window).
 
 The oracle is duck-typed on the handle objects the chaos runner builds
 (it lives in ``verify/`` and must not import ``repro.live``); attach it
@@ -48,7 +49,7 @@ import contextlib
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.verify.oracle import OracleReport, Violation
+from repro.verify.oracle import OracleReport, Violation, check_election
 
 #: cap on sampler-observed violations kept (one broken bound repeats
 #: every sample; the first few carry all the signal)
@@ -293,57 +294,9 @@ class LiveInvariantOracle:
             )
 
     def _check_election(self, report: OracleReport) -> None:
-        """Election safety, read from the switch's audit registers.
-
-        Duck-typed on ``switch.election`` (an :class:`~repro.switchsim.
-        election.ElectionRegister`) so the same checks serve sim and
-        live; skipped entirely when no control plane was deployed.
-        """
-        election = getattr(self.switch, "election", None)
-        if election is None or election.term == 0:
-            return
-        self._checks += 1
-        terms = [row[0] for row in election.history]
-        if terms != sorted(set(terms)):
-            report.violations.append(
-                Violation(
-                    "election-safety",
-                    f"new-term grants are not strictly increasing: "
-                    f"{terms} — two leaders shared a term",
-                )
-            )
-        self._checks += 1
-        for stamped, reg in election.actions:
-            if stamped != reg:
-                report.violations.append(
-                    Violation(
-                        "election-safety",
-                        f"a deposed leader's action landed: stamped "
-                        f"term {stamped} while the register held {reg}",
-                    )
-                )
-                break
-        if not self.controllers:
-            return
-        self._checks += 2
-        alive = [
-            r for r in self.controllers.values() if not r.closed
-        ]
-        leaders = [r.replica_id for r in alive if r.is_leader()]
-        if len(leaders) > 1:
-            report.violations.append(
-                Violation(
-                    "election-safety",
-                    f"{len(leaders)} replicas claim live leadership "
-                    f"simultaneously: {leaders}",
-                )
-            )
-        if alive and not leaders:
-            report.violations.append(
-                Violation(
-                    "election-safety",
-                    f"{len(alive)} replica(s) alive but none leads at "
-                    "the final check — election stalled past the "
-                    "settle window",
-                )
-            )
+        alive = [r for r in self.controllers.values() if not r.closed]
+        self._checks += check_election(
+            getattr(self.switch, "election", None),
+            alive if self.controllers else None,
+            report.violations,
+        )

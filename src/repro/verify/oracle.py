@@ -22,12 +22,13 @@ correctness claims as six invariant families:
   one in ways the :class:`~repro.ctrl.checkpoint.RecoveryReport` admits
   (dropped entries, journal overflow, unmatched dequeues). Extra keys
   that the old program never held are always a violation.
-* **election safety** (replicated-controller runs only) — at most one
+* **election safety** (controller runs, replicated or a group of one;
+  :func:`check_election`, shared with the live oracle) — at most one
   leader per term (new-term grants strictly increase), every accepted
   fenced action carries the register's *current* term (a deposed leader
   never mutated the switch), the observed register term never moves
-  backwards, and a live leader holds the lease at the horizon whenever
-  any replica survived.
+  backwards, at most one live replica claims leadership, and one does
+  at the horizon whenever any replica survived.
 * **register sanity** — the switch program's own control-plane checks
   (circular-queue pointer windows, occupancy bounds, parked-pull
   capacity) pass both at the end and in cheap periodic mid-run samples.
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import SwitchError
 from repro.sim.core import ms
@@ -89,6 +90,71 @@ class OracleReport:
         lines = [f"{len(self.violations)} violation(s) / {self.checks} checks"]
         lines.extend(f"  ! {v}" for v in self.violations)
         return "\n".join(lines)
+
+
+def check_election(
+    election: Any, alive: Optional[Sequence[Any]], out: List[Violation]
+) -> int:
+    """Election safety, shared by the sim and live oracles.
+
+    ``election`` is the switch's :class:`~repro.switchsim.election.
+    ElectionRegister`; ``alive`` the replicas still running (anything
+    with ``replica_id`` and ``is_leader()``), or None when the run kept
+    no handle on them. Appends violations to ``out`` and returns the
+    number of checks made; nothing is checked before a first grant.
+    """
+    if election is None or election.term == 0:
+        return 0
+    terms = [term for term, _leader, _at in election.history]
+    if terms != sorted(set(terms)):
+        out.append(
+            Violation(
+                "election-safety",
+                f"new-term grants are not strictly increasing — two "
+                f"leaders shared a term: {terms[:10]}",
+            )
+        )
+    deposed = [
+        (stamped, reg) for stamped, reg in election.actions if stamped != reg
+    ]
+    if deposed:
+        out.append(
+            Violation(
+                "election-safety",
+                f"{len(deposed)} accepted action(s) stamped with a "
+                f"non-current term — a deposed leader mutated the switch, "
+                f"e.g. {deposed[:3]}",
+            )
+        )
+    reg_terms = [reg for _stamped, reg in election.actions]
+    if reg_terms != sorted(reg_terms):
+        out.append(
+            Violation(
+                "election-safety",
+                f"register term moved backwards across accepted actions: "
+                f"{reg_terms[:10]}",
+            )
+        )
+    if alive is None:
+        return 3
+    leaders = [r.replica_id for r in alive if r.is_leader()]
+    if len(leaders) > 1:
+        out.append(
+            Violation(
+                "election-safety",
+                f"{len(leaders)} replicas claim live leadership "
+                f"simultaneously: {leaders}",
+            )
+        )
+    if alive and not leaders:
+        out.append(
+            Violation(
+                "election-safety",
+                f"no live leader at the horizon despite {len(alive)} live "
+                f"replica(s) — election stalled",
+            )
+        )
+    return 5
 
 
 class InvariantOracle:
@@ -353,56 +419,17 @@ class InvariantOracle:
                 )
 
     def _check_election(self, out: List[Violation]) -> None:
-        switch = self.handles.switch
-        election = getattr(switch, "election", None) if switch else None
-        if election is None or election.term == 0:
-            return  # no replicated control plane ran an election
-        self._checks += 1
-        terms = [term for term, _leader, _at in election.history]
-        if terms != sorted(set(terms)):
-            out.append(
-                Violation(
-                    "election-safety",
-                    f"new-term grants are not strictly increasing — two "
-                    f"leaders shared a term: {terms[:10]}",
-                )
-            )
-        self._checks += 1
-        deposed = [
-            (stamped, reg)
-            for stamped, reg in election.actions
-            if stamped != reg
-        ]
-        if deposed:
-            out.append(
-                Violation(
-                    "election-safety",
-                    f"{len(deposed)} accepted action(s) stamped with a "
-                    f"non-current term — a deposed leader mutated the "
-                    f"switch, e.g. {deposed[:3]}",
-                )
-            )
-        self._checks += 1
-        reg_terms = [reg for _stamped, reg in election.actions]
-        if reg_terms != sorted(reg_terms):
-            out.append(
-                Violation(
-                    "election-safety",
-                    "register term moved backwards across accepted actions",
-                )
-            )
-        group = getattr(self.handles, "ctrl_group", None)
-        if group is not None:
-            self._checks += 1
-            alive = [r for r in group.replicas if not r.crashed]
-            if alive and group.leader() is None:
-                out.append(
-                    Violation(
-                        "election-safety",
-                        f"no live leader at the horizon despite "
-                        f"{len(alive)} live replica(s) — election stalled",
-                    )
-                )
+        handles = self.handles
+        controllers = getattr(handles, "ctrl_group", None) or getattr(
+            handles, "controller", None
+        )
+        self._checks += check_election(
+            getattr(handles.switch, "election", None),
+            None
+            if controllers is None
+            else [r for r in controllers.replicas if not r.crashed],
+            out,
+        )
 
     def _check_register_sanity(self, out: List[Violation]) -> None:
         program = self._program()

@@ -281,6 +281,22 @@ class TestLiveOracle:
         )
         assert "in-flight-bound" in {v.invariant for v in report.violations}
 
+    def test_register_term_regression_flagged(self):
+        class Register:
+            term = 2
+            history = [(1, 0, 0), (2, 1, 50)]
+            # each action carries the then-current term, but the
+            # register's term went 2 -> 1 between them
+            actions = [(2, 2), (1, 1)]
+
+        switch = StubSwitch()
+        switch.election = Register()
+        report = check(switch, StubClient())
+        assert [v.invariant for v in report.violations] == [
+            "election-safety"
+        ]
+        assert "moved backwards" in report.violations[0].detail
+
     def test_pending_after_drain_flagged(self):
         report = check(
             StubSwitch(),

@@ -12,12 +12,15 @@ Covers the pieces PR "controller replication" added:
 * the ``ControllerCrash`` fault event and its sampling grammar;
 * leader-crash takeover end to end in simulation (zero loss) against
   the lossy single-controller baseline;
-* the live replica's sync/ack state machine on a fake transport; and
+* the replica state machine (:class:`~repro.ctrl.replication.ReplicaCore`,
+  shared by the sim and live drivers) fed acks and syncs directly;
+* a live replica pair on a fake wire that loses one sync delta; and
 * Hypothesis properties: election outcome is a pure function of the
-  request script (register), the ack script (live replica), and the
+  request script (register), the ack script (replica core), and the
   (seed, crash schedule) pair (simulation).
 """
 
+import asyncio
 from dataclasses import asdict
 
 import pytest
@@ -25,15 +28,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DraconisProgram
-from repro.ctrl import Controller
+from repro.ctrl import Controller, CtrlOpKind, ReplicaCore
+from repro.ctrl.replication import STEPPED_DOWN, WON
 from repro.errors import ConfigurationError
 from repro.experiments.controller_ha import run_ha
 from repro.faults import FaultPlan, event_from_dict, event_to_dict
 from repro.faults.events import ControllerCrash
 from repro.faults.plan import sample_ctrl_faults
-from repro.live.ctrlplane import LiveControllerReplica
+from repro.live.ctrlplane import LIVE_TIMING, LiveControllerReplica
 from repro.metrics import MetricsCollector
 from repro.net import StarTopology
+from repro.protocol import codec
+from repro.protocol.codec import MAX_CTRL_OPS_PER_PACKET
 from repro.protocol.messages import (
     ControllerSync,
     CtrlOp,
@@ -164,10 +170,20 @@ class TestFencing:
         assert program.sched_stats.fencing_rejections == 0
         assert switch.election.actions == [(1, 1)]
 
-    def test_unfenced_legacy_path_keeps_no_audit(self):
+    def test_group_of_one_is_audited_at_term_1(self):
+        # An unreplicated controller holds term 1, granted locally when
+        # it binds (no election packet, no event), and its reclaim goes
+        # through the same fence as a replicated leader's.
         sim, switch, program = self.build()
-        program.expire_parked_for({1})
-        assert switch.election.actions == []
+        topology = StarTopology(sim, switch)
+        ctrl = Controller(sim, topology, program=program, lease_ns=us(500))
+        assert switch.election.history == [(1, 0, 0)]
+        assert sim.events_processed == 0
+        sim.call_at(us(100), lambda: ctrl._on_heartbeat(Heartbeat(
+            executor_id=7, node_id=0)))
+        sim.run(until=us(750))  # the lease lapses and is reclaimed
+        assert ctrl.stats.leases_expired == 1
+        assert switch.election.actions == [(1, 1)]
         assert program.sched_stats.fencing_rejections == 0
 
 
@@ -254,84 +270,232 @@ class TestReplicatedTakeover:
         assert result.takeover_ns is None
 
 
-# -- the live replica's state machine (fake transport) ----------------------
+# -- the replica state machine (ReplicaCore) ---------------------------------
 
 
-def make_fake_replica(replica_id: int = 0, clock=None):
-    class FakeClock:
-        now = 0
+def make_core(replica_id: int = 0) -> ReplicaCore:
+    """The live replica's state machine: a core on the live timing."""
+    return ReplicaCore(replica_id, LIVE_TIMING)
 
-    replica = LiveControllerReplica(
-        replica_id=replica_id,
-        switch=("127.0.0.1", 1),
-        clock=clock if clock is not None else FakeClock(),
+
+def grant(term=1, expires=50, leader_id=0):
+    return ElectionAck(
+        leader_id=leader_id, term=term, granted=True, expires_at_ns=expires
     )
-    replica._endpoint = ("127.0.0.1", 100 + replica_id)
-    replica._transport = None  # _send becomes a no-op
-    return replica
 
 
 class TestLiveReplicaStateMachine:
+    """The election/sync core both drivers run, fed messages directly."""
+
     def test_granted_ack_makes_leader(self):
-        replica = make_fake_replica()
-        replica._on_ack(
-            ElectionAck(leader_id=0, term=1, granted=True, expires_at_ns=50)
-        )
-        assert replica.role == "leader"
-        assert replica.term == 1 and replica.is_leader()
+        core = make_core()
+        assert core.on_ack(0, grant()) == WON
+        assert core.role == "leader"
+        assert core.term == 1 and core.is_leader(0)
 
     def test_denial_with_newer_term_steps_down(self):
-        replica = make_fake_replica()
-        replica._on_ack(
-            ElectionAck(leader_id=0, term=1, granted=True, expires_at_ns=50)
+        core = make_core()
+        core.on_ack(0, grant())
+        verdict = core.on_ack(
+            0,
+            ElectionAck(leader_id=2, term=2, granted=False, expires_at_ns=90),
         )
-        replica._on_ack(
-            ElectionAck(leader_id=2, term=2, granted=False, expires_at_ns=90)
-        )
-        assert replica.role == "follower"
-        assert replica.step_downs == 1
-        assert replica.known_term == 2
+        assert verdict == STEPPED_DOWN
+        assert core.role == "follower"
+        assert core.step_downs == 1
+        assert core.known_term == 2
 
     def test_lease_lapse_self_demotes(self):
-        replica = make_fake_replica()
-        replica._on_ack(
-            ElectionAck(leader_id=0, term=1, granted=True, expires_at_ns=50)
-        )
-        replica.clock.now = 51
-        assert not replica.is_leader()
+        core = make_core()
+        core.on_ack(0, grant(expires=50))
+        assert core.is_leader(50)
+        assert not core.is_leader(51)
+
+    def test_local_lease_is_bounded_by_the_request_send_time(self):
+        # The register's expiry is stamped on its own clock at arrival;
+        # the local lease may not outlive request-send time + lease.
+        core = make_core()
+        core.election_request(now=1_000)
+        core.on_ack(5_000, grant(expires=10**12))
+        assert core.leader_until == 1_000 + LIVE_TIMING.lease_ns
 
     def test_sync_snapshot_then_gap_detection(self):
-        replica = make_fake_replica(replica_id=2)
-        meta = CtrlOp(kind=6, a=1, b=1, d=3)  # CKPT_META
-        replica._on_sync(
+        core = make_core(replica_id=2)
+        meta = CtrlOp(kind=int(CtrlOpKind.CKPT_META), d=3)
+        core.on_sync(
             ControllerSync(
                 leader_id=0, term=1, seq=1, snapshot=True, ops=[meta]
             )
         )
-        assert replica.sync_applied == 1 and replica.sync_gaps == 0
-        assert replica.ckpt_meta["flushes"] == 3
-        replica._on_sync(
-            ControllerSync(leader_id=0, term=1, seq=4, ops=[meta])
-        )
-        assert replica.sync_gaps == 1  # seq jumped 1 -> 4
+        assert core.sync_applied == 1 and core.sync_gaps == 0
+        assert core.ckpt_meta == 3
+        core.on_sync(ControllerSync(leader_id=0, term=1, seq=4, ops=[meta]))
+        assert core.sync_gaps == 1  # seq jumped 1 -> 4
+        assert core.sync_applied == 1  # and the delta was not applied
 
     def test_stale_term_sync_is_dropped(self):
-        replica = make_fake_replica(replica_id=2)
-        replica._on_sync(ControllerSync(leader_id=1, term=3, seq=1,
-                                        snapshot=True, ops=[]))
-        before = replica.sync_applied
-        replica._on_sync(ControllerSync(leader_id=0, term=2, seq=1, ops=[]))
-        assert replica.sync_applied == before
-        assert replica.counters.get("stale_sync_dropped", 0) == 1
+        core = make_core(replica_id=2)
+        core.on_sync(ControllerSync(leader_id=1, term=3, seq=1,
+                                    snapshot=True, ops=[]))
+        before = core.sync_applied
+        core.on_sync(ControllerSync(leader_id=0, term=2, seq=1, ops=[]))
+        assert core.sync_applied == before
 
     def test_leader_steps_down_on_higher_term_sync(self):
-        replica = make_fake_replica()
-        replica._on_ack(
-            ElectionAck(leader_id=0, term=1, granted=True, expires_at_ns=50)
+        core = make_core()
+        core.on_ack(0, grant())
+        verdict = core.on_sync(ControllerSync(leader_id=1, term=2, seq=1,
+                                              snapshot=True, ops=[]))
+        assert verdict == STEPPED_DOWN
+        assert core.role == "follower" and core.step_downs == 1
+
+    def test_flushes_snapshot_every_nth_and_chunk(self):
+        core = make_core()
+        core.on_ack(0, grant(expires=10**12))
+        assigned = MAX_CTRL_OPS_PER_PACKET + 10
+        core.mirror.update({(0, i, 0): (1, "entry") for i in range(assigned)})
+        first = core.flush()
+        # every ASSIGN + CKPT_META, over the per-packet op limit
+        assert [len(m.ops) for m in first] == [MAX_CTRL_OPS_PER_PACKET, 11]
+        assert [m.snapshot for m in first] == [True, False]
+        assert [m.seq for m in first] == [1, 2]
+        assert len(first[0].entries) + len(first[1].entries) == assigned
+        kinds = [
+            [m.snapshot for m in core.flush()][0]
+            for _ in range(2, LIVE_TIMING.snapshot_every + 1)
+        ]
+        assert kinds == [False] * (LIVE_TIMING.snapshot_every - 2) + [True]
+
+    def test_follower_waits_for_a_snapshot_after_a_gap(self):
+        leader, follower = make_core(0), make_core(1)
+        leader.on_ack(0, grant(expires=10**12))
+        key = (0, 1, 0)
+        leader.mirror[key] = (4, "entry")
+        follower.on_sync(leader.flush()[0])  # snapshot
+        assert follower.mirror == {key: (4, "entry")}
+        leader.journal.record(CtrlOp(kind=int(CtrlOpKind.COMPLETE),
+                                     a=0, b=1, c=0))
+        leader.flush()  # lost on the wire
+        for _ in range(3, LIVE_TIMING.snapshot_every):
+            follower.on_sync(leader.flush()[0])
+        assert follower.mirror == {key: (4, "entry")}  # deltas ignored
+        assert follower.sync_gaps == 1
+        del leader.mirror[key]
+        follower.on_sync(leader.flush()[0])  # the periodic snapshot
+        assert follower.mirror == {}
+
+
+# -- live follower resync over a fake wire ------------------------------------
+
+
+class FrozenClock:
+    """Wall time that never moves: leases cannot lapse mid-test."""
+
+    now = 0
+
+
+class FakeWire:
+    """In-process UDP between live replicas and the switch's register.
+
+    Each replica's transport is replaced by one that delivers
+    synchronously: election requests are arbitrated by a real
+    ``ElectionRegister``, syncs go straight to the peer. The
+    ``drop_seq``-th sync delta is lost; everything a follower receives
+    is logged with whether its core applied it.
+    """
+
+    SWITCH = ("127.0.0.1", 1)
+
+    def __init__(self, replicas, drop_seq):
+        self.replicas = replicas
+        self.by_endpoint = {}
+        self.register = ElectionRegister()
+        self.drop_seq = drop_seq
+        self.dropped = []
+        self.delivered = []
+
+    def transport_for(self, index):
+        wire = self
+
+        class Transport:
+            def __init__(self, real):
+                self.real = real
+                self.src = real.get_extra_info("sockname")[:2]
+                wire.by_endpoint[self.src] = wire.replicas[index]
+
+            def sendto(self, data, addr):
+                wire.deliver(data, addr, self.src)
+
+            def is_closing(self):
+                return self.real.is_closing()
+
+            def close(self):
+                self.real.close()
+
+        return Transport
+
+    def deliver(self, data, addr, src):
+        msg = codec.decode(data)
+        if addr == self.SWITCH:
+            ack = self.register.request(
+                msg.candidate_id, msg.term, FrozenClock.now, msg.lease_ns
+            )
+            self.by_endpoint[src].datagram_received(codec.encode(ack), addr)
+            return
+        if not msg.snapshot and msg.seq == self.drop_seq:
+            self.dropped.append(msg)
+            return
+        peer = self.by_endpoint[addr]
+        before = peer.core.sync_applied
+        peer.datagram_received(data, src)
+        self.delivered.append((msg, peer.core.sync_applied > before))
+
+
+class TestLiveFollowerResync:
+    def test_lost_delta_is_resynced_by_the_next_snapshot(self):
+        every = LIVE_TIMING.snapshot_every
+
+        async def scenario():
+            replicas = []
+            wire = FakeWire(replicas, drop_seq=2)
+            for i in range(2):
+                replicas.append(
+                    LiveControllerReplica(
+                        replica_id=i,
+                        switch=FakeWire.SWITCH,
+                        clock=FrozenClock(),
+                        transport_wrap=wire.transport_for(i),
+                    )
+                )
+            for replica in replicas:
+                replica.peer_resolver = lambda: [r.endpoint for r in replicas]
+                await replica.start()
+            try:
+                for _ in range(300):
+                    # flushes 1..every+1, less the lost one
+                    if len(wire.delivered) >= every:
+                        break
+                    await asyncio.sleep(0.01)
+            finally:
+                for replica in replicas:
+                    await replica.aclose()
+            return replicas, wire
+
+        replicas, wire = asyncio.run(scenario())
+        assert replicas[0].core.term == 1 and replicas[1].core.term == 0
+        assert [m.seq for m in wire.dropped] == [2]
+        log = [(m.seq, m.snapshot, applied) for m, applied in wire.delivered]
+        assert len(log) >= every, f"no resync within the wait: {log}"
+        assert log[:every] == (
+            [(1, True, True)]
+            # the deltas past the gap: none applied
+            + [(seq, False, False) for seq in range(3, every)]
+            # the periodic snapshot resyncs the follower ...
+            + [(every, True, True)]
+            # ... and deltas apply again
+            + [(every + 1, False, True)]
         )
-        replica._on_sync(ControllerSync(leader_id=1, term=2, seq=1,
-                                        snapshot=True, ops=[]))
-        assert replica.role == "follower" and replica.step_downs == 1
+        assert replicas[1].core.sync_gaps == 1
 
 
 # -- purity: election outcome is a function of its inputs -------------------
@@ -394,20 +558,21 @@ class TestElectionPurity:
     @settings(max_examples=100)
     def test_live_replica_is_a_pure_function_of_the_ack_script(self, acks):
         def replay():
-            replica = make_fake_replica(replica_id=0)
+            core = make_core(replica_id=0)
             trace = []
-            for leader_id, term, granted, expires in acks:
-                replica._on_ack(
+            for now, (leader_id, term, granted, expires) in enumerate(acks):
+                verdict = core.on_ack(
+                    now,
                     ElectionAck(
                         leader_id=leader_id,
                         term=term,
                         granted=granted,
                         expires_at_ns=expires,
-                    )
+                    ),
                 )
                 trace.append(
-                    (replica.role, replica.term, replica.known_term,
-                     replica.step_downs, replica.elections_won)
+                    (verdict, core.role, core.term, core.known_term,
+                     core.leader_until, core.step_downs, core.elections_won)
                 )
             return trace
 
@@ -433,6 +598,46 @@ class TestElectionPurity:
             executors_per_worker=2,
         )
         assert asdict(run_ha(**kwargs)) == asdict(run_ha(**kwargs))
+
+
+class TestSimElectionSafety:
+    def test_two_replicas_claiming_leadership_are_flagged(self):
+        from repro.experiments import common
+        from repro.verify.oracle import InvariantOracle
+
+        config = common.ClusterConfig(
+            scheduler="draconis",
+            workers=1,
+            executors_per_worker=2,
+            seed=0,
+            controller=True,
+            controller_replicas=3,
+        )
+        handles = common.build_cluster(config, [[]])
+        oracle = InvariantOracle(handles).attach(ms(2))
+        handles.sim.run(until=ms(2))
+        assert oracle.check_final().ok
+        handles.ctrl_group.replicas[2].is_leader = lambda: True
+        report = oracle.check_final()
+        assert report.invariants_violated() == ["election-safety"]
+        assert "2 replicas claim live leadership" in report.describe()
+
+
+class TestFuzzArtifact:
+    """The shipped fuzz artifact (a plain controller reclaiming through a
+    worker crash and a switch failover) must replay bit-identically."""
+
+    def test_example_artifact_replays_exactly(self):
+        import pathlib
+
+        from repro.verify.replay import replay
+
+        path = (
+            pathlib.Path(__file__).resolve().parent.parent
+            / "examples"
+            / "fuzz_artifact.json"
+        )
+        assert replay(str(path)) == 0
 
 
 class TestHaArtifact:
